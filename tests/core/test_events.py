@@ -1,5 +1,7 @@
 """Tests for the stream element data model."""
 
+import dataclasses
+
 from repro.core.events import (
     CheckpointBarrier,
     EndOfStream,
@@ -31,6 +33,34 @@ class TestRecord:
         assert retraction.sign == -1
         assert retraction.is_retraction
         assert retraction.as_retraction().sign == 1
+
+    def test_copy_helpers_change_exactly_one_field(self):
+        trace = object()
+        r = Record(value=1, event_time=2.0, key="k", sign=1, ingest_time=0.5, trace=trace)
+        fields = [f.name for f in dataclasses.fields(Record)]
+        cases = {
+            "value": (r.with_value(10), 10),
+            "key": (r.with_key("z"), "z"),
+            "event_time": (r.with_event_time(7.0), 7.0),
+            "sign": (r.as_retraction(), -1),
+        }
+        for changed, (copy, expected) in cases.items():
+            assert type(copy) is Record
+            assert getattr(copy, changed) == expected
+            for name in fields:
+                if name != changed:
+                    assert getattr(copy, name) is getattr(r, name), (changed, name)
+
+    def test_copy_helpers_keep_equality_and_hash(self):
+        r = Record(value=("a", 1), event_time=2.0, key="k", ingest_time=0.5, trace=object())
+        twin = Record(value=("a", 1), event_time=2.0, key="k", ingest_time=0.5)
+        assert r.with_value(("a", 1)) == r
+        assert hash(r.with_value(("a", 1))) == hash(r)
+        assert r.with_key("k") == twin.with_key("k")
+        assert hash(r.with_event_time(2.0)) == hash(twin)
+        assert r.as_retraction().as_retraction() == r
+        assert hash(r.as_retraction()) == hash(twin.as_retraction())
+        assert r.as_retraction() != r
 
     def test_is_record_flag(self):
         assert record(1).is_record
