@@ -32,6 +32,8 @@ class VirtualClock:
                 which would mean the event queue delivered events out of
                 order (a kernel bug, never a user error).
         """
+        # Kernel.run() repeats this check and advance inline on ``_now``;
+        # keep the two in step.
         if timestamp < self._now - 1e-12:
             raise SimulationError(
                 f"time travel: clock at {self._now}, event at {timestamp}"
