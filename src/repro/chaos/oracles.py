@@ -694,13 +694,3 @@ class OracleSuite:
         for oracle in self.oracles:
             self.violations.extend(oracle.finish(engine))
         return self.violations
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def verdict(self) -> str:
-        """Stable one-line-per-violation summary ("OK" when clean)."""
-        if not self.violations:
-            return "OK"
-        return "\n".join(v.describe() for v in self.violations)

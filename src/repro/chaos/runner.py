@@ -253,13 +253,3 @@ class ChaosRunner:
             "assert not report.ok",
         ]
         return "\n".join(lines)
-
-    def explore(self) -> tuple[list[ChaosReport], list[str]]:
-        """Full loop: sweep, shrink every violation, format reproducers."""
-        reports = self.sweep()
-        reproducers = []
-        for report in reports:
-            if not report.ok:
-                minimal = self.shrink(report)
-                reproducers.append(self.format_reproducer(minimal))
-        return reports, reproducers

@@ -133,11 +133,6 @@ class IncrementalSnapshotter(KeyedStateBackend):
         return self._inner.snapshot_bytes()
 
     @property
-    def dirty_count(self) -> int:
-        """Entries (puts + deletes) a delta capture would carry right now."""
-        return len(self._dirty) + len(self._deleted)
-
-    @property
     def last_snapshot_id(self) -> int | None:
         """Id of the most recent capture (None = nothing captured yet).
 
@@ -153,10 +148,6 @@ class IncrementalSnapshotter(KeyedStateBackend):
         """Copies of the (dirty, deleted) ``(descriptor, key)`` sets — the
         live overlay a delta-chain state handoff must ship synchronously."""
         return set(self._dirty), set(self._deleted)
-
-    @property
-    def inner(self) -> KeyedStateBackend:
-        return self._inner
 
 
 class TaskChainStore:

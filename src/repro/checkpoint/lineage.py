@@ -125,10 +125,6 @@ class LineageGraph:
             return 1
         return 1 + max(self.lineage_depth(parent) for parent in node.parents)
 
-    @property
-    def cached_batches(self) -> int:
-        return len(self._cache)
-
 
 def stateful_dstream(
     graph: LineageGraph,

@@ -53,25 +53,6 @@ class OperatorContext:
         """Send an element to all downstream channels."""
         raise NotImplementedError
 
-    def emit_record(
-        self,
-        value: Any,
-        event_time: float | None = None,
-        key: Any = None,
-        sign: int = 1,
-        ingest_time: float | None = None,
-    ) -> None:
-        """Convenience wrapper constructing and emitting a :class:`Record`."""
-        self.emit(
-            Record(
-                value=value,
-                event_time=event_time,
-                key=key,
-                sign=sign,
-                ingest_time=ingest_time,
-            )
-        )
-
     def emit_to(self, tag: str, element: StreamElement) -> None:
         """Send an element to a named side output (late data, errors)."""
         raise NotImplementedError
@@ -133,30 +114,83 @@ class OperatorContext:
         the default is a no-op so stub contexts in tests stay cheap.
         """
 
-    # --- observability ----------------------------------------------------
-    def profile(self, label: str) -> Any:
-        """Open a profiling scope attributing :meth:`add_cost` charges to a
-        flame sub-path (see :mod:`repro.obs.profile`). The default returns
-        a no-op scope so operators can always write ``with ctx.profile(..)``."""
-        return _NULL_SCOPE
+
+class ForwardingContext(OperatorContext):
+    """A context that passes every service except ``emit`` straight through
+    to ``parent``.
+
+    Context proxies (the scalar-fallback collector, chain links) subclass
+    this, define ``emit`` and override only what else they change. The
+    passthroughs are explicit methods, not ``__getattr__``: chained members
+    call ``state``, ``add_cost`` and ``current_key`` once per record.
+    """
+
+    __slots__ = ("_parent",)
+
+    def __init__(self, parent: OperatorContext | None) -> None:
+        self._parent = parent
+
+    # --- identity -------------------------------------------------------
+    @property
+    def task_name(self) -> str:
+        return self._parent.task_name
+
+    @property
+    def subtask_index(self) -> int:
+        return self._parent.subtask_index
+
+    @property
+    def parallelism(self) -> int:
+        return self._parent.parallelism
+
+    # --- output (each proxy defines its own ``emit``) --------------------
+    def emit_to(self, tag: str, element: StreamElement) -> None:
+        self._parent.emit_to(tag, element)
+
+    # --- time -----------------------------------------------------------
+    def processing_time(self) -> float:
+        return self._parent.processing_time()
+
+    def current_watermark(self) -> float:
+        return self._parent.current_watermark()
+
+    def register_event_timer(self, timestamp: float, payload: Any = None) -> None:
+        self._parent.register_event_timer(timestamp, payload)
+
+    def register_processing_timer(self, timestamp: float, payload: Any = None) -> None:
+        self._parent.register_processing_timer(timestamp, payload)
+
+    # --- state ----------------------------------------------------------
+    @property
+    def current_key(self) -> Any:
+        return self._parent.current_key
+
+    @property
+    def current_key_value(self) -> Any:
+        return getattr(self._parent, "current_key_value", None)
+
+    @current_key_value.setter
+    def current_key_value(self, key: Any) -> None:
+        self._parent.current_key_value = key
+
+    def set_current_key(self, key: Any) -> None:
+        self._parent.set_current_key(key)
+
+    def state(self, descriptor: "StateDescriptor") -> Any:
+        return self._parent.state(descriptor)
+
+    def operator_state(self, name: str, default: Any = None) -> Any:
+        return self._parent.operator_state(name, default)
+
+    def set_operator_state(self, name: str, value: Any) -> None:
+        self._parent.set_operator_state(name, value)
+
+    # --- cost -----------------------------------------------------------
+    def add_cost(self, seconds: float) -> None:
+        self._parent.add_cost(seconds)
 
 
-class _NullScope:
-    """No-op context manager backing the default :meth:`OperatorContext.profile`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class _BatchCollector(OperatorContext):
+class _BatchCollector(ForwardingContext):
     """Context proxy backing the scalar fallback of ``process_batch``.
 
     Buffers ``emit`` calls so consecutive records rebuild into one
@@ -165,13 +199,12 @@ class _BatchCollector(OperatorContext):
     real runtime context.
     """
 
-    __slots__ = ("_parent", "_out")
+    __slots__ = ("_out",)
 
     def __init__(self, parent: OperatorContext) -> None:
-        self._parent = parent
+        super().__init__(parent)
         self._out: list[StreamElement] = []
 
-    # --- buffered output --------------------------------------------------
     def emit(self, element: StreamElement) -> None:
         self._out.append(element)
 
@@ -191,60 +224,6 @@ class _BatchCollector(OperatorContext):
         if run:
             parent.emit(_rebatch(run))
         out.clear()
-
-    # --- passthrough ------------------------------------------------------
-    @property
-    def current_key_value(self) -> Any:
-        return getattr(self._parent, "current_key_value", None)
-
-    @property
-    def task_name(self) -> str:
-        return self._parent.task_name
-
-    @property
-    def subtask_index(self) -> int:
-        return self._parent.subtask_index
-
-    @property
-    def parallelism(self) -> int:
-        return self._parent.parallelism
-
-    def emit_to(self, tag: str, element: StreamElement) -> None:
-        self._parent.emit_to(tag, element)
-
-    def processing_time(self) -> float:
-        return self._parent.processing_time()
-
-    def current_watermark(self) -> float:
-        return self._parent.current_watermark()
-
-    def register_event_timer(self, timestamp: float, payload: Any = None) -> None:
-        self._parent.register_event_timer(timestamp, payload)
-
-    def register_processing_timer(self, timestamp: float, payload: Any = None) -> None:
-        self._parent.register_processing_timer(timestamp, payload)
-
-    @property
-    def current_key(self) -> Any:
-        return self._parent.current_key
-
-    def set_current_key(self, key: Any) -> None:
-        self._parent.set_current_key(key)
-
-    def state(self, descriptor: "StateDescriptor") -> Any:
-        return self._parent.state(descriptor)
-
-    def operator_state(self, name: str, default: Any = None) -> Any:
-        return self._parent.operator_state(name, default)
-
-    def set_operator_state(self, name: str, value: Any) -> None:
-        self._parent.set_operator_state(name, value)
-
-    def add_cost(self, seconds: float) -> None:
-        self._parent.add_cost(seconds)
-
-    def profile(self, label: str) -> Any:
-        return self._parent.profile(label)
 
 
 def _rebatch(records: list[Record]) -> StreamElement:

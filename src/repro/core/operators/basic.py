@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from repro.core.events import Record, RecordBatch, StreamElement
+from repro.core.events import Record, RecordBatch
 from repro.core.operators.base import Operator, OperatorContext
 from repro.state.api import ValueStateDescriptor
 
@@ -376,74 +376,3 @@ class SinkOperator(Operator):
     @property
     def name(self) -> str:
         return self._name
-
-
-class StatelessChain(Operator):
-    """Fuses consecutive stateless operators into one task (operator chaining),
-    the standard optimization second-generation engines apply to avoid
-    per-element channel overhead."""
-
-    def __init__(self, operators: list[Operator], name: str = "chain") -> None:
-        if not operators:
-            raise ValueError("chain requires at least one operator")
-        self._operators = operators
-        self._name = name
-
-    def open(self, ctx: OperatorContext) -> None:
-        for op in self._operators:
-            op.open(ctx)
-
-    def process(self, record: Record, ctx: OperatorContext) -> None:
-        elements: list[StreamElement] = [record]
-        for op in self._operators:
-            collector = _CollectingContext(ctx)
-            for element in elements:
-                op.on_element(element, collector)
-            elements = collector.collected
-            if not elements:
-                return
-        for element in elements:
-            ctx.emit(element)
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-
-class _CollectingContext(OperatorContext):
-    """Context that buffers emissions; used for operator chaining."""
-
-    def __init__(self, parent: OperatorContext) -> None:
-        self._parent = parent
-        self.collected: list[StreamElement] = []
-
-    def emit(self, element: StreamElement) -> None:
-        self.collected.append(element)
-
-    def emit_to(self, tag: str, element: StreamElement) -> None:
-        self._parent.emit_to(tag, element)
-
-    def processing_time(self) -> float:
-        return self._parent.processing_time()
-
-    def current_watermark(self) -> float:
-        return self._parent.current_watermark()
-
-    @property
-    def current_key(self) -> Any:
-        return self._parent.current_key
-
-    def state(self, descriptor) -> Any:
-        return self._parent.state(descriptor)
-
-    @property
-    def task_name(self) -> str:
-        return self._parent.task_name
-
-    @property
-    def subtask_index(self) -> int:
-        return self._parent.subtask_index
-
-    @property
-    def parallelism(self) -> int:
-        return self._parent.parallelism

@@ -39,69 +39,34 @@ from repro.core.events import (
     StreamElement,
     Watermark,
 )
-from repro.core.operators.base import Operator, OperatorContext
+from repro.core.operators.base import ForwardingContext, Operator, OperatorContext
 
 
-class _LinkContext(OperatorContext):
+class _LinkContext(ForwardingContext):
     """Context handed to chain member ``index``.
 
     Emissions feed the next member synchronously; state names and timer
-    payloads are scoped by member index; everything else delegates to the
-    task's real context.
+    payloads are scoped by member index; everything else passes through to
+    the task's real context (bound later by :meth:`ChainedOperator._bind`).
     """
 
-    __slots__ = ("_chain", "_index", "_parent", "_scoped")
+    __slots__ = ("_chain", "_index", "_scoped")
 
     def __init__(self, chain: "ChainedOperator", index: int) -> None:
+        super().__init__(None)
         self._chain = chain
         self._index = index
-        self._parent: OperatorContext | None = None
         #: id(descriptor) -> member-scoped descriptor (stable per operator)
         self._scoped: dict[int, Any] = {}
 
-    # --- identity -------------------------------------------------------
-    @property
-    def task_name(self) -> str:
-        return self._parent.task_name
-
-    @property
-    def subtask_index(self) -> int:
-        return self._parent.subtask_index
-
-    @property
-    def parallelism(self) -> int:
-        return self._parent.parallelism
-
-    # --- output ---------------------------------------------------------
     def emit(self, element: StreamElement) -> None:
         self._chain._feed(self._index + 1, element, self._parent)
-
-    def emit_watermark(self, timestamp: float) -> None:
-        self.emit(Watermark(timestamp))
-
-    def emit_to(self, tag: str, element: StreamElement) -> None:
-        self._parent.emit_to(tag, element)
-
-    # --- time -----------------------------------------------------------
-    def processing_time(self) -> float:
-        return self._parent.processing_time()
-
-    def current_watermark(self) -> float:
-        return self._parent.current_watermark()
 
     def register_event_timer(self, timestamp: float, payload: Any = None) -> None:
         self._parent.register_event_timer(timestamp, (self._index, payload))
 
     def register_processing_timer(self, timestamp: float, payload: Any = None) -> None:
         self._parent.register_processing_timer(timestamp, (self._index, payload))
-
-    # --- state ----------------------------------------------------------
-    @property
-    def current_key(self) -> Any:
-        return self._parent.current_key
-
-    def set_current_key(self, key: Any) -> None:
-        self._parent.set_current_key(key)
 
     def state(self, descriptor: Any) -> Any:
         return self._parent.state(self._scope(descriptor))
@@ -118,14 +83,6 @@ class _LinkContext(OperatorContext):
 
     def set_operator_state(self, name: str, value: Any) -> None:
         self._parent.set_operator_state(f"chain{self._index}/{name}", value)
-
-    # --- cost -----------------------------------------------------------
-    def add_cost(self, seconds: float) -> None:
-        self._parent.add_cost(seconds)
-
-    # --- observability ---------------------------------------------------
-    def profile(self, label: str) -> Any:
-        return self._parent.profile(label)
 
 
 class ChainedOperator(Operator):

@@ -10,7 +10,7 @@ Public surface:
 """
 
 from repro.fabric.config import FabricConfig
-from repro.fabric.fabric import FabricResult, JobFabric, TenantHandle, submit_many
+from repro.fabric.fabric import FabricResult, JobFabric, TenantHandle
 from repro.fabric.hub import SharedSourceHub, TapWorkload
 from repro.fabric.oracle import result_digests, sink_digest
 from repro.fabric.query import FabricQueryService
@@ -29,5 +29,4 @@ __all__ = [
     "TenantHandle",
     "result_digests",
     "sink_digest",
-    "submit_many",
 ]

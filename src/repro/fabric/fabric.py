@@ -30,7 +30,7 @@ Typical usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import FabricError
 from repro.fabric.config import FabricConfig
@@ -284,14 +284,6 @@ class JobFabric:
             raise FabricError(f"unknown tenant {name!r}")
         return handle
 
-    def teardown_costs(self) -> dict[str, float]:
-        """Measured wall-clock teardown cost per terminal tenant."""
-        return {
-            name: handle.teardown_seconds
-            for name, handle in sorted(self.tenants.items())
-            if handle.state in ("done", "failed")
-        }
-
     def metrics_snapshot(self) -> dict[str, Any]:
         """Shared-registry snapshot (deterministic)."""
         return self.registry.snapshot(self.kernel.now())
@@ -301,12 +293,3 @@ class JobFabric:
             f"JobFabric(tenants={len(self.tenants)}, slots={self.config.slots}, "
             f"now={self.kernel.now():.3f})"
         )
-
-
-def submit_many(
-    fabric: JobFabric,
-    envs: Iterable["StreamExecutionEnvironment"],
-    **kwargs: Any,
-) -> list[TenantHandle]:
-    """Admit a batch of environments with shared submit options."""
-    return [fabric.submit(env, **kwargs) for env in envs]

@@ -236,14 +236,6 @@ class StatefulFunctionRuntime:
         self.kernel.call_after(self.invocation_cost, lambda: self._process_next(address))
 
     # ------------------------------------------------------------------
-    def run(self, until: float | None = None) -> float:
-        """Drive the kernel until quiescence (or ``until``)."""
-        return self.kernel.run(until=until)
-
     def state_of(self, address: Address, default: Any = None) -> Any:
         """Read one address's persisted state (observability/tests)."""
         return FunctionStorage(self.backend_for(address.type), address).get(default)
-
-    @property
-    def pending_messages(self) -> int:
-        return sum(len(m) for m in self._mailboxes.values())

@@ -80,10 +80,6 @@ class IncrementalComponents:
             self._uf.union(u, v)
             self.operations += 1
 
-    def component_of(self, node: Any) -> Any:
-        """Representative of the node's component."""
-        return self._uf.find(node)
-
     def connected(self, a: Any, b: Any) -> bool:
         """Whether two nodes share a component."""
         return self._uf.find(a) == self._uf.find(b)
@@ -119,10 +115,6 @@ class RecomputeComponents:
                         self._labels[neighbor] = label
                         queue.append(neighbor)
             label += 1
-
-    def component_of(self, node: Any) -> int:
-        """The node's component label (-1 when unseen)."""
-        return self._labels.get(node, -1)
 
     def connected(self, a: Any, b: Any) -> bool:
         """Whether two nodes share a component."""

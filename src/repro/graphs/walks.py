@@ -77,10 +77,6 @@ class StreamingRandomWalks:
         """Copies of the walks anchored at ``node``."""
         return [list(w) for w in self._walks.get(node, [])]
 
-    @property
-    def total_walks(self) -> int:
-        return sum(len(w) for w in self._walks.values())
-
 
 class CooccurrenceEmbedding:
     """Windowed co-occurrence counts over walks: a cheap online embedding.

@@ -185,12 +185,3 @@ class DS2Controller:
                 self.rescaler.rescale(name, target, mode="live")
                 self.reconfigurations += 1
             demand *= model.selectivity
-
-    # ------------------------------------------------------------------
-    def convergence_summary(self) -> dict[str, int]:
-        """Reconfigurations actually applied per operator."""
-        out: dict[str, int] = {}
-        for decision in self.decisions:
-            if decision.changed:
-                out[decision.operator] = out.get(decision.operator, 0) + 1
-        return out

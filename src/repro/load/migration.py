@@ -177,32 +177,6 @@ class Rescaler:
         self.reports.append(report)
         return report
 
-    def unsplit_key_group(self, node_name: str, key_group: int, mode: str = "live") -> RescaleReport:
-        """Collapse a previously split key group back to its range owner."""
-        engine = self.engine
-        node = engine.graph.node_by_name(node_name)
-        self._abort_inflight_checkpoint()
-        started_at = engine.kernel.now()
-        router = self.router_for(node_name)
-        router.unsplit_group(key_group)
-        moved_entries, moved_bytes, chain_bytes, handoff = self._migrate_state(node, router)
-        self._install_reroute(node, router)
-        resumed_at = self._charge_reconfiguration(node, mode, moved_bytes, started_at)
-        report = RescaleReport(
-            node_name=node_name,
-            old_parallelism=node.parallelism,
-            new_parallelism=node.parallelism,
-            moved_entries=moved_entries,
-            moved_bytes=moved_bytes,
-            mode=mode,
-            started_at=started_at,
-            resumed_at=resumed_at,
-            chain_bytes=chain_bytes,
-            handoff=handoff,
-        )
-        self.reports.append(report)
-        return report
-
     # ------------------------------------------------------------------
     def router_for(self, node_name: str) -> KeyRouter:
         """The node's shared :class:`KeyRouter`, created on first use at the

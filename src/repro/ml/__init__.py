@@ -17,7 +17,7 @@ from repro.ml.serving import (
     Prediction,
     RPCServingOperator,
 )
-from repro.ml.sgd import OnlineLinearRegression, OnlineLogisticRegression, batch_gradient_step
+from repro.ml.sgd import OnlineLinearRegression, OnlineLogisticRegression
 
 __all__ = [
     "BulkIterationDriver",
@@ -33,7 +33,6 @@ __all__ = [
     "Prediction",
     "RPCServingOperator",
     "StaleSynchronousDriver",
-    "batch_gradient_step",
     "make_separable_dataset",
     "partition_dataset",
     "transaction_features",

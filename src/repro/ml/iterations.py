@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.ml.sgd import OnlineLogisticRegression, batch_gradient_step
+from repro.ml.sgd import OnlineLogisticRegression
 
 
 @dataclass

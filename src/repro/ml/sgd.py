@@ -2,7 +2,7 @@
 
 The survey (§4.1/§4.2 Loops) calls SGD the canonical workload needing
 in-pipeline training. Pure NumPy, supporting per-event ``partial_fit`` for
-online pipelines and mini-batch epochs for bulk-synchronous iteration.
+online pipelines.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class OnlineLinearRegression:
         self.weights -= self.learning_rate * gradient
         self.samples_seen += 1
         return float(error * error)
-
-    def clone_weights(self) -> np.ndarray:
-        """Detached copy of the weights (versioning)."""
-        return self.weights.copy()
 
 
 class OnlineLogisticRegression:
@@ -71,20 +67,3 @@ class OnlineLogisticRegression:
     def load_weights(self, weights: np.ndarray) -> None:
         """Replace the weights (hot swap / restore)."""
         self.weights = np.asarray(weights, dtype=float).copy()
-
-
-def batch_gradient_step(
-    model: OnlineLogisticRegression, xs: np.ndarray, ys: np.ndarray, learning_rate: float | None = None
-) -> float:
-    """One full-batch gradient step (bulk-synchronous iteration body).
-
-    Returns the mean log-loss over the batch before the step.
-    """
-    lr = learning_rate if learning_rate is not None else model.learning_rate
-    z = np.clip(xs @ model.weights, -35.0, 35.0)
-    p = 1.0 / (1.0 + np.exp(-z))
-    eps = 1e-12
-    loss = float(np.mean(-(ys * np.log(p + eps) + (1 - ys) * np.log(1 - p + eps))))
-    gradient = xs.T @ (p - ys) / len(ys) + model.l2 * model.weights
-    model.weights -= lr * gradient
-    return loss

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.latency import LatencyTracker, operator_of
-from repro.obs.profile import NULL_PROFILE_SCOPE, Profiler, ProfileScope
+from repro.obs.profile import Profiler
 from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry, MetricScope
 from repro.obs.trace import Span, TraceContext, Tracer
 
@@ -45,8 +45,6 @@ __all__ = [
     "LatencyTracker",
     "Observability",
     "Profiler",
-    "ProfileScope",
-    "NULL_PROFILE_SCOPE",
     "Span",
     "TraceContext",
     "Tracer",

@@ -3,16 +3,13 @@
 The kernel's cost model already charges every element a virtual duration
 (processing cost + timers + state latency + ``ctx.add_cost``); the profiler
 attributes those charges to semicolon-joined flame paths
-(``task;lane[;label...]``) so hot operators — and hot phases *inside* an
-operator, via :class:`ProfileScope` — show up in one aggregation.
+(``task;lane``) so hot operators show up in one aggregation.
 
 All quantities are virtual seconds, so profiles are deterministic and
 comparable across runs.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 
 class Profiler:
@@ -23,7 +20,7 @@ class Profiler:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        #: flame path ("task;lane" or "task;process;label;...") → virtual s
+        #: flame path ("task;lane") → virtual s
         self.samples: dict[str, float] = {}
         #: kernel dispatch counts bucketed by whole virtual second
         self.events_by_second: dict[int, int] = {}
@@ -57,8 +54,8 @@ class Profiler:
         }
 
     def total(self, operator: str | None = None) -> float:
-        """Total virtual seconds charged (lane-level only, so nested
-        ProfileScope paths are not double counted)."""
+        """Total virtual seconds charged (lane-level paths only, so a
+        deeper sub-path is not double counted)."""
         return sum(
             seconds
             for path, seconds in self.flame(operator).items()
@@ -67,57 +64,3 @@ class Profiler:
 
     def __repr__(self) -> str:
         return f"Profiler(enabled={self.enabled}, paths={len(self.samples)})"
-
-
-class ProfileScope:
-    """Context manager charging ``ctx.add_cost`` time to a flame sub-path.
-
-    Usage inside an operator::
-
-        with ctx.profile("lookup"):
-            ctx.add_cost(2e-4)   # charged to "task;process;lookup"
-
-    The scope measures the *extra cost* accumulated while it is open —
-    inclusive of nested scopes, matching flame-graph semantics — and runs
-    entirely in virtual time.
-    """
-
-    __slots__ = ("_profiler", "_owner_ctx", "_task_name", "_label", "_baseline")
-
-    def __init__(self, profiler: Profiler, task_name: str, ctx: Any, label: str) -> None:
-        self._profiler = profiler
-        self._owner_ctx = ctx
-        self._task_name = task_name
-        self._label = label
-
-    def __enter__(self) -> "ProfileScope":
-        stack = getattr(self._owner_ctx, "_profile_stack", None)
-        if stack is None:
-            stack = []
-            self._owner_ctx._profile_stack = stack
-        stack.append(self._label)
-        self._baseline = self._owner_ctx._extra_cost
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        delta = self._owner_ctx._extra_cost - self._baseline
-        stack = self._owner_ctx._profile_stack
-        path = ";".join([self._task_name, "process", *stack])
-        stack.pop()
-        self._profiler.charge(path, delta)
-        return False
-
-
-class NullProfileScope:
-    """No-op scope returned when profiling is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "NullProfileScope":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-NULL_PROFILE_SCOPE = NullProfileScope()

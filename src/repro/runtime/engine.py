@@ -84,10 +84,6 @@ class JobResult:
         """True when a restart policy gave up and failed the job cleanly."""
         return self._engine.job_failed
 
-    @property
-    def failure_reason(self) -> str | None:
-        return self._engine.failure_reason
-
     def side_output(self, task_prefix: str, tag: str) -> list[StreamElement]:
         """Side-output elements for (task prefix, tag)."""
         out = []
@@ -382,6 +378,7 @@ class Engine:
     def _make_task(self, node: LogicalNode, index: int) -> Task:
         name = f"{node.name}[{index}]"
         metrics = self.metrics.for_task(name)
+        self._task_factories[name] = node.new_operator
         if node.is_source:
             workload = node.options.get("workload")
             if workload is None:
@@ -403,7 +400,6 @@ class Engine:
                 ),
             )
         backend_factory = self._resolve_backend_factory(node.state_backend_factory)
-        self._task_factories[name] = node.new_operator
         self._task_backend_factories[name] = backend_factory
         task = Task(
             self.kernel,
@@ -504,10 +500,6 @@ class Engine:
             self.start()
         self.kernel.run(until=until, max_events=max_events)
         return JobResult(self)
-
-    def run_until_quiescent(self, horizon: float = 1e9) -> JobResult:
-        """Run with a generous horizon (bounded jobs drain on their own)."""
-        return self.run(until=horizon)
 
     # ------------------------------------------------------------------
     # engine callbacks from tasks
@@ -720,30 +712,15 @@ class Engine:
             if self.checkpoint_store is not None:
                 self.checkpoint_store.note_aborted(aborted_id)
 
-    def node_of(self, task: Task) -> LogicalNode:
-        """The logical node a task belongs to (the chain head for a task
-        running a fused :class:`ChainedOperator`)."""
-        for node_id, tasks in self.node_tasks.items():
-            if task in tasks:
-                return self.graph.nodes[node_id]
-        raise RuntimeStateError(f"task {task.name} not in plan")
-
     def new_operator_for(self, task: Task) -> Operator:
         """Build a fresh operator for ``task`` — the full fused pipeline when
-        the task runs a chain. Recovery paths must use this instead of
-        ``node_of(task).new_operator()``."""
-        factory = self._task_factories.get(task.name)
-        if factory is not None:
-            return factory()
-        return self.node_of(task).new_operator()
+        the task runs a chain. Recovery paths must use this instead of the
+        logical node's ``new_operator()``."""
+        return self._task_factories[task.name]()
 
     def backend_factory_for(self, task: Task) -> Callable[[], Any]:
         """The state-backend factory ``task`` was built with."""
-        factory = self._task_backend_factories.get(task.name)
-        if factory is not None:
-            return factory
-        node = self.node_of(task)
-        return self._resolve_backend_factory(node.state_backend_factory)
+        return self._task_backend_factories[task.name]
 
     def restore_latency(self, snapshot_bytes: int) -> float:
         """Virtual time to pull a snapshot from durable storage."""
@@ -1042,18 +1019,6 @@ class Engine:
         self.metrics.recovery.job_failed_at = self.kernel.now()
         self.metrics.recovery.job_failure_reason = reason
         self._fire_finish_callbacks()
-
-    def shutdown(self) -> int:
-        """Tear the job down: cancel services, kill live tasks, and — on a
-        shared kernel — bulk-cancel the whole event namespace (O(1) in heap
-        size). Returns the number of kernel events condemned."""
-        self._cancel_services()
-        for task in self._planned_tasks():
-            if not task.dead and not task.finished:
-                task.kill()
-        if self.owns_kernel:
-            return 0
-        return self.kernel.cancel_job(self.job_tag)
 
     @_scoped
     def recover_without_replay(self) -> None:

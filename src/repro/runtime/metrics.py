@@ -73,25 +73,12 @@ class TaskMetrics:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
 
-    def true_processing_rate(self) -> float:
-        """Records the task could process per busy second — DS2's key input."""
-        if self.busy_time <= 0:
-            return 0.0
-        return self.records_in / self.busy_time
-
     def observed_rate(self, now: float) -> float:
         """Records consumed per second of lifetime."""
         elapsed = self.lifetime(now)
         if elapsed <= 0:
             return 0.0
         return self.records_in / elapsed
-
-    def mean_queue_length(self, since: float = 0.0) -> float:
-        """Average sampled mailbox length since ``since``."""
-        samples = [q for t, q in self.queue_samples if t >= since]
-        if not samples:
-            return 0.0
-        return sum(samples) / len(samples)
 
 
 @dataclass
@@ -220,26 +207,3 @@ class JobMetrics:
         if name not in self.tasks:
             self.tasks[name] = TaskMetrics(task_name=name)
         return self.tasks[name]
-
-    def by_operator(self) -> dict[str, list[TaskMetrics]]:
-        """Task metrics grouped by logical operator name."""
-        grouped: dict[str, list[TaskMetrics]] = {}
-        for name, metrics in self.tasks.items():
-            operator = name.rsplit("[", 1)[0]
-            grouped.setdefault(operator, []).append(metrics)
-        return grouped
-
-    def total_records_in(self, operator: str) -> int:
-        """Records consumed by all subtasks of an operator."""
-        return sum(m.records_in for m in self.by_operator().get(operator, []))
-
-    def total_dropped(self) -> int:
-        """Records dropped across the whole job."""
-        return sum(m.dropped for m in self.tasks.values())
-
-    def operator_utilization(self, operator: str, now: float) -> float:
-        """Mean busy fraction across an operator's subtasks."""
-        group = self.by_operator().get(operator, [])
-        if not group:
-            return 0.0
-        return sum(m.utilization(now) for m in group) / len(group)

@@ -39,7 +39,6 @@ from repro.checkpoint.incremental import IncrementalSnapshotter
 from repro.core.keys import key_group_for
 from repro.core.operators.base import Operator, OperatorContext
 from repro.errors import RuntimeStateError
-from repro.obs.profile import NULL_PROFILE_SCOPE, ProfileScope
 from repro.obs.trace import TraceContext
 from repro.progress.watermarks import WatermarkMerger, WatermarkStrategy
 from repro.runtime.channel import OutputGate
@@ -136,10 +135,6 @@ class TaskContext(OperatorContext):
     def emit(self, element: StreamElement) -> None:
         self._task.collect_output(element)
 
-    def emit_watermark(self, timestamp: float) -> None:
-        """Emit a watermark with the given timestamp."""
-        self._task.collect_output(Watermark(timestamp))
-
     def emit_to(self, tag: str, element: StreamElement) -> None:
         self._task.collect_side_output(tag, element)
 
@@ -185,15 +180,6 @@ class TaskContext(OperatorContext):
         return cost
 
     # --- observability ----------------------------------------------------
-    def profile(self, label: str) -> Any:
-        """Open a :class:`~repro.obs.profile.ProfileScope` attributing
-        ``add_cost`` charges to a flame sub-path (no-op when profiling is
-        off)."""
-        profiler = self._task._profiler
-        if profiler is None:
-            return NULL_PROFILE_SCOPE
-        return ProfileScope(profiler, self._task.name, self, label)
-
     @property
     def tracer(self) -> Any:
         """The engine tracer, or None when tracing is off (chain members
@@ -381,10 +367,6 @@ class Task:
         if self._keygroup_counts is None:
             self._keygroup_counts = {}
         self._keygroup_maxp = max_parallelism
-
-    def disable_keygroup_tracking(self) -> None:
-        """Stop counting and drop the histogram."""
-        self._keygroup_counts = None
 
     def deliver(self, channel_index: int, element: StreamElement, via: Any = None) -> None:
         """Channel callback: enqueue an element (dropped/parked when down)."""
@@ -1544,10 +1526,6 @@ class SourceTask(Task):
         if self.dead or self.finished:
             raise RuntimeStateError(f"source {self.name} cannot restart while dead/finished")
         self._schedule_next()
-
-    @property
-    def emitted(self) -> int:
-        return self._emitted
 
 
 class _NullBackend:

@@ -234,10 +234,6 @@ class Kernel:
         self._maybe_compact()
         return condemned
 
-    def job_generation(self, job: str) -> int:
-        """Current generation of a namespace (0 = never torn down)."""
-        return self._job_gens.get(job, 0)
-
     def live_events_of(self, job: str) -> int:
         """Live queued events in ``job``'s namespace (excludes parked)."""
         return self._live_by_job.get(job, 0)
@@ -509,7 +505,3 @@ class PeriodicTimer:
         """Stop firing; the in-flight event is skipped."""
         self._active = False
         self._handle.cancel()
-
-    @property
-    def active(self) -> bool:
-        return self._active

@@ -281,7 +281,3 @@ class RetryingStore:
         # Degraded: the cache's view of the table (insertion-ordered).
         self.stale_reads += 1
         return [k for (t, k), v in self._cache.items() if t == table and v is not None]
-
-    def table_names(self) -> list[Any]:
-        """Pass-through to the wrapped store's table listing."""
-        return self.store.table_names()

@@ -185,11 +185,3 @@ class TransactionManager:
     def put(self, key: Any, value: Any) -> None:
         """Non-transactional (dirty) write — used to demonstrate anomalies."""
         self._data[key] = value
-
-    def snapshot(self) -> dict[Any, Any]:
-        """Copy of the committed store (tests/inspection)."""
-        return dict(self._data)
-
-    @property
-    def active_count(self) -> int:
-        return len(self._active)

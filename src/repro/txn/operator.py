@@ -40,14 +40,6 @@ class TxnHandle:
         """Write ``key`` inside the transaction (undone on abort)."""
         self._store.txn_write(self._txn, key, value)
 
-    @property
-    def txn_id(self) -> int:
-        return self._txn.txn_id
-
-    @property
-    def op_id(self) -> Any:
-        return self._txn.op_id
-
 
 def _normalize_keys(declared: Any) -> tuple:
     """Accept ``(reads, writes)`` or a bare iterable (all read+write)."""
@@ -85,10 +77,11 @@ class TransactOperator(Operator):
     # ------------------------------------------------------------------
     def open(self, ctx: OperatorContext) -> None:
         task = getattr(ctx, "task", None)
-        if task is not None:
-            self._task = task
-            self._origin = task.name
-            self.store.bind_task(task)
+        if task is None:
+            raise TransactionError("transact runs only inside an engine task (it is never chained)")
+        self._task = task
+        self._origin = task.name
+        self.store.bind_task(task)
 
     def _op_id(self, value: Any) -> Any:
         return self.op_id_fn(value) if self.op_id_fn is not None else value
@@ -97,9 +90,6 @@ class TransactOperator(Operator):
     def process(self, record: Any, ctx: OperatorContext) -> None:
         ctx.add_cost(self.store.config.execute_cost)
         task = self._task
-        if task is None:
-            self._run_sync(record, ctx)
-            return
         op_id = self._op_id(record.value)
         task._txn_hold = True
         incarnation = task.incarnation
@@ -175,32 +165,6 @@ class TransactOperator(Operator):
         task._txn_hold = False
         task._flush_outputs()
         task._maybe_schedule()
-
-    # --- kernel-less fallback (unit tests drive the operator directly) --
-    def _run_sync(self, record, ctx: OperatorContext) -> None:
-        op_id = self._op_id(record.value)
-        if self.store.config.locking == "nowait":
-            tries = 0
-            while True:
-                txn = self.store.begin(self._origin, op_id, declared=None)
-                try:
-                    out = self.body(TxnHandle(self.store, txn), record.value)
-                except TransactionAborted:
-                    self.store.note_retry()
-                    tries += 1
-                    if tries >= self.store.config.max_retries:
-                        return
-                    continue
-                break
-        else:
-            reads, writes = _normalize_keys(self.keys_fn(record.value))
-            txn = self.store.begin(self._origin, op_id, declared=(reads, writes))
-            for key, mode in self.store.lock_plan(txn):
-                self.store.acquire(txn, key, mode, None)
-            out = self.body(TxnHandle(self.store, txn), record.value)
-        self.store.finish_attempt(txn, None)
-        if out is not None:
-            ctx.emit(out)
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Any:

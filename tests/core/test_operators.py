@@ -11,7 +11,6 @@ from repro.core.operators.basic import (
     MapOperator,
     ProcessOperator,
     ReduceOperator,
-    StatelessChain,
 )
 
 
@@ -127,22 +126,3 @@ class TestDefaultDispatch:
         op.on_element(EndOfStream(), ctx)
         assert flushed == [True]
         assert any(isinstance(e, EndOfStream) for e in ctx.emitted)
-
-
-class TestStatelessChain:
-    def test_chains_apply_in_order(self):
-        ctx = StubContext()
-        chain = StatelessChain([
-            MapOperator(lambda v: v + 1),
-            FilterOperator(lambda v: v % 2 == 0),
-            FlatMapOperator(lambda v: [v, v]),
-        ])
-        ctx.feed(chain, 1)  # 1 -> 2 -> keep -> [2, 2]
-        ctx.feed(chain, 2)  # 2 -> 3 -> dropped
-        assert ctx.record_values() == [2, 2]
-
-    def test_empty_chain_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            StatelessChain([])

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core.datastream import StreamExecutionEnvironment
 from repro.cql.execution import ContinuousQuery, compile_to_dataflow, explain
+from repro.cql.parser import parse_query
+from repro.cql.relations import evaluate
+from repro.cql.vectorized import compile_predicate
 from repro.errors import CQLSemanticError
 from repro.io.sources import CollectionWorkload
 from repro.progress.watermarks import AscendingTimestamps
@@ -103,3 +106,27 @@ class TestExplain:
         assert "RANGE(10.0, slide=2.0)" in text
         assert "GroupBy: k" in text
         assert "Aggregate: True" in text
+
+
+class TestVectorizedWhere:
+    """The NumPy mask compiled from a WHERE clause (the columnar
+    ``batch_predicate``) must select exactly the rows the scalar interpreter
+    keeps."""
+
+    VALUES = [{"k": "a" if i % 3 else "b", "v": i} for i in range(12)]
+
+    @pytest.mark.parametrize(
+        "where",
+        ["v > 6", "v > 2 AND k = 'a'", "NOT v < 5 OR v * 2 = 4", "-v < -9", "v - 1", "1 = 1"],
+    )
+    def test_mask_matches_scalar_interpreter(self, where):
+        query = parse_query(f"SELECT k FROM s RANGE 1 WHERE {where} GROUP BY k")
+        binding = query.sources[0].binding
+        predicate = compile_predicate(query.where, binding)
+        assert predicate is not None
+        expected = [bool(evaluate(query.where, {binding: v})) for v in self.VALUES]
+        assert [bool(flag) for flag in predicate(self.VALUES)] == expected
+
+    def test_aggregates_stay_on_the_scalar_path(self):
+        query = parse_query("SELECT k FROM s RANGE 1 WHERE COUNT(*) > 1 GROUP BY k")
+        assert compile_predicate(query.where, query.sources[0].binding) is None

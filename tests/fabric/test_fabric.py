@@ -154,8 +154,11 @@ class TestSoloEquivalence:
         fabric = JobFabric(FabricConfig(slots=1))
         fenv, fsink = keyed_count_env("solo", count=120)
         fabric.submit(fenv)
-        fabric.run()
+        result = fabric.run()
         assert sink_digest(fsink) == sink_digest(solo_sink)
+        # The documented per-tenant digest view reads the same sink.
+        assert result.tenant("solo").digests() == {"out": sink_digest(solo_sink)}
+        assert result.tenant("solo").result.sink("out") is fsink
         # Without contention the kernel-time fields match too.
         assert [
             (r.value, r.event_time, r.emitted_at) for r in fsink.results

@@ -18,13 +18,20 @@ class TestMessaging:
         kernel, runtime = make_runtime()
 
         def counter(ctx, msg):
-            ctx.storage.set(ctx.storage.get(0) + msg)
+            if msg == "reset":
+                ctx.storage.clear()
+            else:
+                ctx.storage.set(ctx.storage.get(0) + msg)
 
         runtime.register("counter", counter)
         for value in (1, 2, 3):
             runtime.send(Address("counter", "c1"), value)
         kernel.run()
         assert runtime.state_of(Address("counter", "c1")) == 6
+        runtime.send(Address("counter", "c1"), "reset")
+        runtime.send(Address("counter", "c1"), 4)
+        kernel.run()
+        assert runtime.state_of(Address("counter", "c1")) == 4
 
     def test_instances_are_isolated(self):
         kernel, runtime = make_runtime()

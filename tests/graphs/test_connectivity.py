@@ -79,6 +79,7 @@ def test_incremental_matches_recompute(events):
         event = EdgeEvent(op, u, v)
         inc.apply(event)
         base.apply(event)
+        assert inc.component_count == base.component_count, events
         for a in range(10):
             for b in range(a + 1, 10):
                 if a in [n for n in inc.graph.nodes()] and b in [n for n in inc.graph.nodes()]:

@@ -181,3 +181,36 @@ class TestMultiStageTopology:
             baseline.graph.apply(EdgeEvent.from_payload(event.value))
         baseline._dijkstra()
         assert abs(finite[-1] - baseline.distance(10)) < 1e-9
+
+
+class TestWindowedStreamFunctions:
+    """``reduce`` and ``apply`` on a windowed stream give the per-window
+    answers an explicit ``aggregate`` computes."""
+
+    VALUES = [{"k": "a" if i % 3 else "b", "v": i} for i in range(30)]
+
+    def run(self, build):
+        env = StreamExecutionEnvironment()
+        windowed = (
+            env.from_collection(
+                self.VALUES,
+                name="nums",
+                timestamps=[0.1 * i for i in range(30)],
+                watermarks=BoundedOutOfOrderness(0.05),
+            )
+            .key_by(field_selector("k"))
+            .window(TumblingEventTimeWindows(1.0))
+        )
+        sink = build(windowed).collect("out")
+        env.execute()
+        return {(r.value.key, r.value.start): r.value.value for r in sink.results}
+
+    def test_reduce_and_apply_match_aggregate(self):
+        reference = self.run(
+            lambda w: w.aggregate(lambda: [], lambda acc, v: acc + [v["v"]], lambda acc: acc)
+        )
+        assert len(reference) >= 6
+        reduced = self.run(lambda w: w.reduce(lambda a, b: {"k": a["k"], "v": max(a["v"], b["v"])}))
+        assert {k: v["v"] for k, v in reduced.items()} == {k: max(v) for k, v in reference.items()}
+        applied = self.run(lambda w: w.apply(lambda key, window, values: sorted(v["v"] for v in values)))
+        assert applied == {k: sorted(v) for k, v in reference.items()}

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import StubContext
 
-from repro.core.events import Record
+from repro.core.events import Record, RecordBatch
 from repro.io.sinks import CollectSink, DedupSink, TransactionalSink, latency_stats
 from repro.io.sources import (
     ClickstreamWorkload,
@@ -126,6 +126,15 @@ class TestSinks:
             sink.write(Record(value=value), ctx)
         assert sink.duplicates == 1
         assert sink.unique_count() == 2
+
+    def test_dedup_sink_counts_duplicates_inside_a_batch(self):
+        sink = DedupSink()
+        ctx = StubContext()
+        batch = RecordBatch.from_records([Record(value=v) for v in ["a", "b", "a", "a"]])
+        sink.write_batch(batch, ctx)
+        assert sink.duplicates == 2
+        assert sink.unique_count() == 2
+        assert [r.value for r in sink.results] == ["a", "b", "a", "a"]
 
     def test_transactional_sink_two_phase_visibility(self):
         sink = TransactionalSink()

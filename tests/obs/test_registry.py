@@ -136,8 +136,8 @@ class TestProfiler:
     def test_total_counts_lanes_once_despite_scope_subpaths(self):
         profiler = Profiler()
         profiler.charge("map[0];extra", 1.0)
-        # ProfileScope sub-paths overlap the extra lane; total() must not
-        # double count them.
+        # A sub-path overlaps the extra lane; total() must not double
+        # count it.
         profiler.charge("map[0];process;lookup", 0.6)
         assert profiler.total("map") == 1.0
 

@@ -42,8 +42,8 @@ class TestClaims:
             registry.claim("tenant", owner="2")
 
 
-def _pipeline(name, seed=0):
-    env = StreamExecutionEnvironment(EngineConfig(seed=seed), name=name)
+def _pipeline(name, seed=0, profiling=False):
+    env = StreamExecutionEnvironment(EngineConfig(seed=seed, profiling_enabled=profiling), name=name)
     sink = CollectSink("out")
     (
         env.from_workload(SensorWorkload(count=20, rate=2000.0, key_count=4, seed=seed))
@@ -95,3 +95,15 @@ class TestSharedRegistryJobs:
         paths = registry.snapshot()["metrics"].keys()
         assert any(p.startswith("dup/") for p in paths)
         assert any(p.startswith("dup#2/") for p in paths)
+
+    def test_profiling_jobs_on_a_shared_kernel_chain_dispatch_observers(self):
+        """A second profiling job must not replace the first one's kernel
+        dispatch observer: both profilers count every shared dispatch."""
+        kernel = Kernel()
+        registry = MetricRegistry("fabric")
+        a = _pipeline("jobA", profiling=True).build(kernel=kernel, registry=registry)
+        b = _pipeline("jobB", seed=1, profiling=True).build(kernel=kernel, registry=registry)
+        a.start()
+        b.run()
+        for engine in (a, b):
+            assert sum(engine.obs.profiler.events_by_second.values()) == kernel.dispatched_events > 0

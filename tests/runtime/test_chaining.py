@@ -12,9 +12,9 @@ import pytest
 from helpers import StubContext
 
 from repro.core.datastream import StreamExecutionEnvironment
-from repro.core.events import Record, Watermark
+from repro.core.events import EndOfStream, Heartbeat, Punctuation, Record, Watermark
 from repro.core.keys import field_selector
-from repro.core.operators import ChainedOperator, MapOperator
+from repro.core.operators import ChainedOperator, FilterOperator, FlatMapOperator, MapOperator
 from repro.core.operators.base import Operator, OperatorContext
 from repro.io.sinks import CollectSink
 from repro.io.sources import SensorWorkload
@@ -165,6 +165,22 @@ class _CountingOperator(Operator):
 
 
 class TestChainedOperatorUnit:
+    def test_members_apply_in_order_and_a_filtered_record_stops(self):
+        chain = ChainedOperator([
+            MapOperator(lambda v: v + 1),
+            FilterOperator(lambda v: v % 2 == 0),
+            FlatMapOperator(lambda v: [v, v]),
+        ])
+        ctx = StubContext()
+        chain.open(ctx)
+        chain.process(Record(value=1), ctx)  # 1 -> 2 -> kept -> [2, 2]
+        chain.process(Record(value=2), ctx)  # 2 -> 3 -> dropped
+        assert [e.value for e in ctx.emitted] == [2, 2]
+        # The dropped record never entered the member after the filter.
+        assert chain.member_records_in == [2, 2, 1]
+        with pytest.raises(ValueError):
+            ChainedOperator([])
+
     def test_members_state_is_scoped_per_member(self):
         chain = ChainedOperator([_CountingOperator("a"), _CountingOperator("b")])
         ctx = StubContext()
@@ -214,6 +230,54 @@ class TestChainedOperatorUnit:
         chain.on_watermark(Watermark(5.0), ctx)
         assert seen == ["x", "y", "z"]
         assert isinstance(ctx.emitted[-1], Watermark)
+
+    def test_control_elements_and_processing_timers_reach_every_member(self):
+        seen = []
+
+        class Spy(Operator):
+            def __init__(self, tag):
+                self._tag = tag
+
+            def process(self, record, ctx):
+                ctx.register_processing_timer(1.0, payload=self._tag)
+                ctx.emit(record)
+
+            def on_heartbeat(self, heartbeat, ctx):
+                seen.append((self._tag, "heartbeat"))
+                ctx.emit(heartbeat)
+
+            def on_punctuation(self, punctuation, ctx):
+                seen.append((self._tag, "punctuation"))
+                ctx.emit(punctuation)
+
+            def on_processing_timer(self, timestamp, key, payload, ctx):
+                ctx.emit(Record(value=("fired", self._tag, payload)))
+
+            def flush(self, ctx):
+                seen.append((self._tag, "flush"))
+
+            @property
+            def name(self):
+                return self._tag
+
+        chain = ChainedOperator([Spy("x"), Spy("y")])
+        ctx = StubContext()
+        chain.open(ctx)
+        chain.on_heartbeat(Heartbeat("src", 1.0), ctx)
+        chain.on_punctuation(Punctuation("event_time", 1.0), ctx)
+        chain.on_element(EndOfStream(), ctx)
+        assert seen == [
+            ("x", "heartbeat"), ("y", "heartbeat"),
+            ("x", "punctuation"), ("y", "punctuation"),
+            ("x", "flush"), ("y", "flush"),
+        ]
+        assert ctx.emitted == [Heartbeat("src", 1.0), Punctuation("event_time", 1.0), EndOfStream()]
+        chain.process(Record(value=1), ctx)
+        assert [(i, p) for _, _, (i, p) in ctx.processing_timers] == [(0, "x"), (1, "y")]
+        # Member 0's firing traverses member 1 before leaving the chain.
+        chain.on_processing_timer(1.0, None, (0, "x"), ctx)
+        assert ctx.emitted[-1].value == ("fired", "x", "x")
+        assert [(i, p) for _, _, (i, p) in ctx.processing_timers[2:]] == [(1, "y")]
 
     def test_snapshot_and_restore_round_trip(self):
         class Remember(Operator):

@@ -80,6 +80,8 @@ class TestListState:
         handle.add(1)
         handle.update([9])
         assert handle.get() == [9]
+        handle.clear()
+        assert handle.get() == []
 
 
 class TestMapState:
@@ -93,6 +95,8 @@ class TestMapState:
         handle.remove("x")
         assert not handle.contains("x")
         assert sorted(handle.keys()) == ["y"]
+        handle.clear()
+        assert handle.is_empty()
 
     def test_empty_map_cleans_up(self, backend):
         desc = MapStateDescriptor("m")
@@ -109,6 +113,8 @@ class TestReducingState:
         handle.add(3)
         handle.add(4)
         assert handle.get() == 7
+        handle.clear()
+        assert handle.get() is None
 
     def test_missing_reduce_fn_rejected(self, backend):
         desc = ReducingStateDescriptor("bad")
@@ -127,6 +133,18 @@ class TestSnapshotRestore:
             fresh.restore(snapshot)
             assert fresh.handle(VALUE, "a").value() == {"n": 1}
             assert fresh.handle(VALUE, "b").value() == {"n": 2}
+
+    def test_internal_snapshot_loads_into_external_store(self):
+        internal = InMemoryStateBackend()
+        internal.handle(VALUE, "a").update({"n": 1})
+        internal.handle(ListStateDescriptor("l"), "a").add(5)
+        external = ExternalStateBackend(RemoteStore())
+        external.register(VALUE)
+        external.restore(internal.snapshot())
+        assert external.handle(VALUE, "a").value() == {"n": 1}
+        # A descriptor the store has not seen yet is registered by name.
+        assert {d.name for d in external.descriptors()} == {"v", "l"}
+        assert external.get(ListStateDescriptor("l"), "a") == [5]
 
     def test_restored_values_do_not_alias(self):
         backend = InMemoryStateBackend()

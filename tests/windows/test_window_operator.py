@@ -5,6 +5,7 @@ from helpers import StubContext
 from repro.core.events import Punctuation, Record
 from repro.windows import (
     CountEvictor,
+    TimeEvictor,
     CountTrigger,
     EarlyFiringTrigger,
     EventTimeSessionWindows,
@@ -174,6 +175,19 @@ class TestEvictorAndApply:
         ctx.advance_watermark(op, 10.0)
         [res] = results(ctx)
         assert res.value == 7  # last two elements: 3 + 4
+
+    def test_time_evictor_keeps_span_behind_newest(self):
+        ctx = StubContext()
+        op = WindowOperator(
+            TumblingEventTimeWindows(10.0),
+            ProcessWindowFunction(lambda key, w, values: sum(values)),
+            evictor=TimeEvictor(2.5),
+        )
+        for i, v in enumerate([1, 2, 3, 4]):
+            ctx.feed(op, v, event_time=float(i), key="k")
+        ctx.advance_watermark(op, 10.0)
+        [res] = results(ctx)
+        assert res.value == 9  # newest at t=3 keeps t > 0.5: 2 + 3 + 4
 
     def test_evictor_requires_buffering_function(self):
         import pytest
