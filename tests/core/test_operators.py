@@ -3,6 +3,7 @@
 from helpers import StubContext
 
 from repro.core.events import EndOfStream, Record, Watermark
+from repro.core.operators import ChainedOperator
 from repro.core.operators.basic import (
     AggregatingOperator,
     FilterOperator,
@@ -126,3 +127,23 @@ class TestDefaultDispatch:
         op.on_element(EndOfStream(), ctx)
         assert flushed == [True]
         assert any(isinstance(e, EndOfStream) for e in ctx.emitted)
+
+
+class TestStatelessChain:
+    def test_chains_apply_in_order(self):
+        ctx = StubContext()
+        chain = ChainedOperator([
+            MapOperator(lambda v: v + 1),
+            FilterOperator(lambda v: v % 2 == 0),
+            FlatMapOperator(lambda v: [v, v]),
+        ])
+        chain.open(ctx)
+        ctx.feed(chain, 1)  # 1 -> 2 -> keep -> [2, 2]
+        ctx.feed(chain, 2)  # 2 -> 3 -> dropped
+        assert ctx.record_values() == [2, 2]
+
+    def test_empty_chain_rejected(self):
+        import pytest
+
+        with pytest.raises(ValueError):
+            ChainedOperator([])

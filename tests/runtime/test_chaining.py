@@ -178,8 +178,6 @@ class TestChainedOperatorUnit:
         assert [e.value for e in ctx.emitted] == [2, 2]
         # The dropped record never entered the member after the filter.
         assert chain.member_records_in == [2, 2, 1]
-        with pytest.raises(ValueError):
-            ChainedOperator([])
 
     def test_members_state_is_scoped_per_member(self):
         chain = ChainedOperator([_CountingOperator("a"), _CountingOperator("b")])
